@@ -37,7 +37,7 @@ func (p *ValuePolicy) Reset(int) {
 // Next implements sim.Policy.
 func (p *ValuePolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestV := -1, 0.0
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
 			continue
 		}
@@ -86,7 +86,7 @@ func (p *DensityPolicy) Reset(int) {
 // Next implements sim.Policy.
 func (p *DensityPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestD := -1, 0.0
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) {
 			continue
 		}

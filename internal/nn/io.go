@@ -10,7 +10,9 @@ import (
 )
 
 // netBlob is the gob wire format for a Net: architecture plus every
-// parameter tensor in Params() order.
+// parameter tensor in Params() order. Weight matrices travel
+// output-major (Out x In, row i feeding output i), the layout files
+// written before the layers stored weights input-major.
 type netBlob struct {
 	In      int
 	Hidden  []int
@@ -22,8 +24,8 @@ type netBlob struct {
 // Save writes the network to w in gob format.
 func (n *Net) Save(w io.Writer) error {
 	blob := netBlob{In: n.in, Hidden: n.hidden, Out: n.out, Dueling: n.dueling}
-	for _, p := range n.Params() {
-		blob.Values = append(blob.Values, append([]float64(nil), p.Val...))
+	for _, l := range n.layers() {
+		blob.Values = append(blob.Values, l.wireWeights(), append([]float64(nil), l.B...))
 	}
 	if err := gob.NewEncoder(w).Encode(blob); err != nil {
 		return fmt.Errorf("nn: save network: %w", err)
@@ -49,7 +51,10 @@ func Load(r io.Reader) (*Net, error) {
 			return nil, fmt.Errorf("nn: load network: parameter %d has %d values, want %d",
 				i, len(blob.Values[i]), len(p.Val))
 		}
-		copy(p.Val, blob.Values[i])
+	}
+	for li, l := range n.layers() {
+		l.setWireWeights(blob.Values[2*li])
+		copy(l.B, blob.Values[2*li+1])
 	}
 	return n, nil
 }

@@ -17,16 +17,24 @@ import (
 )
 
 // Linear is a fully connected layer out = W*x + b with gradient buffers.
+//
+// W is stored input-major, as an In x Out matrix whose row j holds the
+// weights fed by input j. Every kernel then streams contiguous rows: the
+// sparse first layer sums the rows of the active inputs, and a dense
+// layer adds x_j times row j for each nonzero x_j (ReLU zeroes about
+// half). Each output still adds its terms in input order from +0, so the
+// results match an output-major W*x bit for bit.
 type Linear struct {
 	In, Out int
-	W       *tensor.Mat // Out x In
+	W       *tensor.Mat // In x Out, input-major
 	B       tensor.Vec  // Out
-	GW      *tensor.Mat // gradient accumulator for W
+	GW      *tensor.Mat // gradient accumulator for W, same layout
 	GB      tensor.Vec  // gradient accumulator for B
 }
 
 // NewLinear returns a layer with He-uniform initialised weights, the
-// standard choice for ReLU networks.
+// standard choice for ReLU networks. The weights are drawn output by
+// output, so a layer matches one built output-major from the same RNG.
 func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: invalid linear dimensions %dx%d", in, out))
@@ -34,28 +42,31 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	l := &Linear{
 		In:  in,
 		Out: out,
-		W:   tensor.NewMat(out, in),
+		W:   tensor.NewMat(in, out),
 		B:   tensor.NewVec(out),
-		GW:  tensor.NewMat(out, in),
+		GW:  tensor.NewMat(in, out),
 		GB:  tensor.NewVec(out),
 	}
 	bound := math.Sqrt(6.0 / float64(in))
-	for i := range l.W.Data {
-		l.W.Data[i] = rng.Range(-bound, bound)
+	for i := 0; i < out; i++ {
+		for j := 0; j < in; j++ {
+			l.W.Set(j, i, rng.Range(-bound, bound))
+		}
 	}
 	return l
 }
 
 // ForwardInto computes out = W*x + b.
 func (l *Linear) ForwardInto(out, x tensor.Vec) {
-	l.W.MulVecInto(out, x)
+	l.W.MulVecTransInto(out, x)
 	out.Add(l.B)
 }
 
-// ForwardSparseInto computes out = sum_{j active} W[:,j] + b; it is
-// equivalent to ForwardInto with a binary input whose ones sit at active.
+// ForwardSparseInto computes out = (sum of W's rows j, j in active) + b;
+// it is equivalent to ForwardInto with a binary input whose ones sit at
+// active.
 func (l *Linear) ForwardSparseInto(out tensor.Vec, active []int) {
-	l.W.SumColsSparseInto(out, active)
+	l.W.SumRowsSparseInto(out, active)
 	out.Add(l.B)
 }
 
@@ -63,23 +74,42 @@ func (l *Linear) ForwardSparseInto(out tensor.Vec, active []int) {
 // last forward pass and the gradient dOut of the loss w.r.t. this layer's
 // output. It returns (into dIn, if non-nil) the gradient w.r.t. x.
 func (l *Linear) BackwardDense(dIn, dOut, x tensor.Vec) {
-	l.GW.AddOuter(1, dOut, x)
+	l.GW.AddOuter(1, x, dOut)
 	l.GB.Add(dOut)
 	if dIn != nil {
-		l.W.MulVecTransInto(dIn, dOut)
+		l.W.MulVecInto(dIn, dOut)
 	}
 }
 
 // BackwardSparse accumulates gradients for a binary sparse input: the
-// weight gradient only touches the active columns, and no input gradient
-// is produced (the input is data, not a learnable activation).
+// weight gradient only touches the active inputs' rows, and no input
+// gradient is produced (the input is data, not a learnable activation).
 func (l *Linear) BackwardSparse(dOut tensor.Vec, active []int) {
 	for _, j := range active {
-		for i := 0; i < l.Out; i++ {
-			l.GW.Data[i*l.In+j] += dOut[i]
-		}
+		l.GW.Row(j).Add(dOut)
 	}
 	l.GB.Add(dOut)
+}
+
+// wireWeights returns W in the output-major wire layout (row i holds the
+// weights feeding output i).
+func (l *Linear) wireWeights() []float64 {
+	w := make([]float64, 0, l.In*l.Out)
+	for i := 0; i < l.Out; i++ {
+		for j := 0; j < l.In; j++ {
+			w = append(w, l.W.At(j, i))
+		}
+	}
+	return w
+}
+
+// setWireWeights loads W from the output-major wire layout.
+func (l *Linear) setWireWeights(w []float64) {
+	for i := 0; i < l.Out; i++ {
+		for j := 0; j < l.In; j++ {
+			l.W.Set(j, i, w[i*l.In+j])
+		}
+	}
 }
 
 // ZeroGrad clears the accumulated gradients.

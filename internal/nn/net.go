@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"ams/internal/tensor"
 )
@@ -34,6 +35,8 @@ type Net struct {
 	// backward scratch
 	dacts []tensor.Vec
 	dadv  tensor.Vec
+	dval  tensor.Vec // dueling: gradient w.r.t. V
+	dhead tensor.Vec // dueling: advantage head's input gradient
 }
 
 // Config describes a Q-network architecture.
@@ -71,6 +74,8 @@ func NewNet(cfg Config, rng *tensor.RNG) *Net {
 	if cfg.Dueling {
 		n.valHead = NewLinear(prev, 1, rng)
 		n.val = tensor.NewVec(1)
+		n.dval = tensor.NewVec(1)
+		n.dhead = tensor.NewVec(prev)
 	}
 	return n
 }
@@ -132,11 +137,11 @@ func (n *Net) Backward(dQ tensor.Vec) {
 		for i, g := range dQ {
 			n.dadv[i] = g - mean
 		}
-		n.valHead.BackwardDense(dTop, tensor.Vec{sum}, top)
+		n.dval[0] = sum
+		n.valHead.BackwardDense(dTop, n.dval, top)
 		// advHead gradient adds into dTop as well.
-		advIn := tensor.NewVec(len(top))
-		n.advHead.BackwardDense(advIn, n.dadv, top)
-		dTop.Add(advIn)
+		n.advHead.BackwardDense(n.dhead, n.dadv, top)
+		dTop.Add(n.dhead)
 	} else {
 		n.advHead.BackwardDense(dTop, dQ, top)
 	}
@@ -160,26 +165,32 @@ func (n *Net) Backward(dQ tensor.Vec) {
 	}
 }
 
+// layers returns every layer in parameter order: the feature stack,
+// the advantage head, then the value head when dueling.
+func (n *Net) layers() []*Linear {
+	ls := append(make([]*Linear, 0, len(n.feature)+2), n.feature...)
+	ls = append(ls, n.advHead)
+	if n.dueling {
+		ls = append(ls, n.valHead)
+	}
+	return ls
+}
+
 // ZeroGrad clears all accumulated gradients.
 func (n *Net) ZeroGrad() {
-	for _, l := range n.feature {
+	for _, l := range n.layers() {
 		l.ZeroGrad()
-	}
-	n.advHead.ZeroGrad()
-	if n.dueling {
-		n.valHead.ZeroGrad()
 	}
 }
 
-// Params returns flattened (value, gradient) views over every parameter.
+// Params returns flattened (value, gradient) views over every parameter,
+// two per layer (weights, then bias) in layers() order. Weight views are
+// in the layers' input-major layout; Save and Load convert to and from
+// the output-major wire layout.
 func (n *Net) Params() []Param {
 	var ps []Param
-	for _, l := range n.feature {
+	for _, l := range n.layers() {
 		ps = l.Params(ps)
-	}
-	ps = n.advHead.Params(ps)
-	if n.dueling {
-		ps = n.valHead.Params(ps)
 	}
 	return ps
 }
@@ -230,12 +241,16 @@ func (n *Net) SoftUpdateFrom(src *Net, tau float64) {
 	}
 }
 
+// relu writes max(x, 0) without a data-dependent branch: the comparison
+// becomes a 0/1 flag whose negation masks x's bits. Like the branchy
+// form it maps -0 and NaN to +0.
 func relu(out, in tensor.Vec) {
+	out = out[:len(in)]
 	for i, x := range in {
+		var keep uint64
 		if x > 0 {
-			out[i] = x
-		} else {
-			out[i] = 0
+			keep = 1
 		}
+		out[i] = math.Float64frombits(math.Float64bits(x) & -keep)
 	}
 }

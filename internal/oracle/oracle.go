@@ -16,6 +16,7 @@ package oracle
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"ams/internal/synth"
@@ -285,13 +286,28 @@ func (t *Tracker) MarginalValue(m int) float64 {
 }
 
 // Unexecuted returns the indices of models that have not run, in model-ID
-// order.
+// order, as a new slice the caller may keep. Loops that only walk them
+// use UnexecutedSeq, which does not allocate.
 func (t *Tracker) Unexecuted() []int {
-	var ms []int
-	for m, done := range t.executed {
-		if !done {
-			ms = append(ms, m)
-		}
+	ms := make([]int, 0, t.UnexecutedCount())
+	for m := range t.UnexecutedSeq() {
+		ms = append(ms, m)
 	}
 	return ms
 }
+
+// UnexecutedSeq yields the models that have not run, in model-ID order,
+// without allocating. A model executed during the walk is skipped if
+// the walk has not reached it yet.
+func (t *Tracker) UnexecutedSeq() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for m, done := range t.executed {
+			if !done && !yield(m) {
+				return
+			}
+		}
+	}
+}
+
+// UnexecutedCount returns how many models have not run.
+func (t *Tracker) UnexecutedCount() int { return len(t.executed) - t.executedCount }

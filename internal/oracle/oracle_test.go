@@ -265,3 +265,35 @@ func TestBuildEmptyPanics(t *testing.T) {
 	}()
 	Build(z, nil)
 }
+
+func TestUnexecutedSeqMatchesSliceWithoutAllocating(t *testing.T) {
+	tr := NewTracker(store, 2)
+	for _, m := range []int{0, 7, 3, store.NumModels() - 1} {
+		tr.Execute(m)
+	}
+	var walked []int
+	for m := range tr.UnexecutedSeq() {
+		walked = append(walked, m)
+	}
+	un := tr.Unexecuted()
+	if len(walked) != len(un) || len(un) != tr.UnexecutedCount() || len(un) != store.NumModels()-4 {
+		t.Fatalf("walk %v, slice %v, count %d", walked, un, tr.UnexecutedCount())
+	}
+	for i := range un {
+		if walked[i] != un[i] {
+			t.Fatalf("walk %v differs from slice %v", walked, un)
+		}
+	}
+	var sink int
+	if a := testing.AllocsPerRun(100, func() {
+		for m := range tr.UnexecutedSeq() {
+			sink += m
+		}
+	}); a != 0 {
+		t.Fatalf("UnexecutedSeq walk allocates %v", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink += len(tr.Unexecuted()) }); a != 1 {
+		t.Fatalf("Unexecuted allocates %v, want 1", a)
+	}
+	_ = sink
+}

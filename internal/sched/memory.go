@@ -61,7 +61,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 		// density uses that effective cost. The packing horizon below
 		// stays the nominal TimeMS — commits happen on the nominal clock.
 		anchor, bestDensity := -1, 0.0
-		for _, m := range t.Unexecuted() {
+		for m := range t.UnexecutedSeq() {
 			if p.fly.has(m) || q[m] <= 0 {
 				continue
 			}
@@ -91,7 +91,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 			return -1
 		}
 		fallback, bestQ := -1, 0.0
-		for _, m := range t.Unexecuted() {
+		for m := range t.UnexecutedSeq() {
 			if !c.Allows(p.z.Models[m]) {
 				continue
 			}
@@ -108,7 +108,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	}
 	// Pack by Q/mem under the temporary deadline (Algorithm 2 lines 8-12).
 	best, bestRatio := -1, 0.0
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) || q[m] <= 0 {
 			continue
 		}

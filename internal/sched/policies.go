@@ -68,7 +68,7 @@ func (p *Random) Reset(int) { p.fly.reset() }
 // Next implements sim.Policy.
 func (p *Random) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
 			continue
 		}
@@ -147,7 +147,7 @@ func (p *QGreedy) Reset(int) {
 func (p *QGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
 	best, bestQ := -1, 0.0
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
 			continue
 		}
@@ -195,7 +195,7 @@ func (p *Rule) Reset(int) {
 // Next implements sim.Policy.
 func (p *Rule) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
 			continue
 		}

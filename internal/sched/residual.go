@@ -20,7 +20,7 @@ import (
 func residualFromQ(pred Predictor, t *oracle.Tracker) float64 {
 	q := pred.Predict(t.State())
 	best := 0.0
-	for _, m := range t.Unexecuted() {
+	for m := range t.UnexecutedSeq() {
 		if m < len(q) && q[m] > best {
 			best = q[m]
 		}

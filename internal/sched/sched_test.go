@@ -496,3 +496,26 @@ func TestMemoryPackerSerialUnderDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclinedNextAllocatesNothing pins the selection walks at zero
+// allocations: with a deadline no model fits, Algorithm 1 and both of
+// MemoryPacker's loops scan every unexecuted model and decline.
+func TestDeclinedNextAllocatesNothing(t *testing.T) {
+	q := make([]float64, store.NumModels()+1)
+	tr := oracle.NewTracker(store, 0)
+	tr.Execute(4)
+	c := sim.Constraints{RemainingMS: 1e-6, AvailMemMB: 1e9}
+	for name, p := range map[string]sim.Policy{
+		"algorithm1": NewCostQGreedy(fixedPredictor{q}, z),
+		"packer":     NewMemoryPacker(fixedPredictor{q}, z),
+	} {
+		p.Reset(0)
+		if a := testing.AllocsPerRun(100, func() {
+			if p.Next(tr, c) >= 0 {
+				t.Fatalf("%s selected a model no deadline admits", name)
+			}
+		}); a != 0 {
+			t.Fatalf("%s: declined Next allocates %v", name, a)
+		}
+	}
+}

@@ -585,7 +585,7 @@ func (s *Server) memStalled(tr *oracle.Tracker, remainingMS, observedAvailMB flo
 	if s.acct == nil {
 		return false
 	}
-	for _, m := range tr.Unexecuted() {
+	for m := range tr.UnexecutedSeq() {
 		mod := s.ex.Model(m)
 		if mod.TimeMS <= remainingMS+1e-9 &&
 			mod.MemMB <= s.cfg.MemoryBudgetMB+1e-9 &&
@@ -655,7 +655,7 @@ func (s *Server) process(policy sim.Policy, tk *Ticket) {
 					RemainingMS: remaining, AvailMemMB: c.AvailMemMB, Note: "memory"})
 				continue
 			}
-			if trace != nil && len(tr.Unexecuted()) > 0 {
+			if trace != nil && tr.UnexecutedCount() > 0 {
 				trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
 					RemainingMS: remaining, AvailMemMB: c.AvailMemMB,
 					Note: "declined with models unexecuted"})
@@ -851,7 +851,7 @@ func (s *Server) processParallel(policy sim.Policy, tk *Ticket) {
 			trace.SpanBetween(obs.SpanSelect, root, -1, t0, trace.Stamp())
 			if m < 0 {
 				stalledAt = c.AvailMemMB
-				if trace != nil && len(tr.Unexecuted()) > len(inFly) {
+				if trace != nil && tr.UnexecutedCount() > len(inFly) {
 					trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
 						RemainingMS: remaining, AvailMemMB: c.AvailMemMB,
 						Note: "declined with models unexecuted"})

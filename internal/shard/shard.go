@@ -343,6 +343,13 @@ func (r *Router) credit(s int, hint []int) {
 // serve.ErrQueueFull when the home shard's pending queue is at capacity
 // and serve.ErrClosed after Close.
 func (r *Router) Submit(it Item) (*Ticket, error) {
+	return r.submit(it, true)
+}
+
+// submit places one item without blocking. A refusal at a full queue
+// counts as a shed only when shed is set: SubmitWait retries are
+// backpressure waits, not sheds.
+func (r *Router) submit(it Item, shed bool) (*Ticket, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -353,7 +360,9 @@ func (r *Router) Submit(it Item) (*Ticket, error) {
 		return nil, fmt.Errorf("shard: pin to nonexistent shard %d", s)
 	}
 	if len(r.queues[s]) >= r.queueCap(s) {
-		r.rejected[s]++
+		if shed {
+			r.rejected[s]++
+		}
 		return nil, serve.ErrQueueFull
 	}
 	tk := &Ticket{
@@ -384,7 +393,7 @@ func (r *Router) SubmitWait(ctx context.Context, it Item) (*Ticket, error) {
 		r.mu.Lock()
 		space := r.space
 		r.mu.Unlock()
-		tk, err := r.Submit(it)
+		tk, err := r.submit(it, false)
 		if err != serve.ErrQueueFull {
 			return tk, err
 		}

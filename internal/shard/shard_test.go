@@ -440,3 +440,69 @@ func TestShardStress(t *testing.T) {
 		t.Errorf("assigned %d of %d", assigned, goroutines*each)
 	}
 }
+
+// TestRejectedCountsOnlySheds checks that RejectedTotal counts refused
+// non-blocking Submits and not SubmitWait's waits on a full queue. One
+// dispatcher is parked in the first item's Resolve, so a one-slot queue
+// stays full until the gate opens.
+func TestRejectedCountsOnlySheds(t *testing.T) {
+	r, err := New(newShardServers(t, 1, 1), Config{Workers: []int{1}, QueueCap: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	first, err := r.Submit(Item{Resolve: func(int) (int, error) {
+		close(entered)
+		<-gate
+		return 0, nil
+	}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-entered
+	queued, err := r.Submit(Item{Index: 1})
+	if err != nil {
+		t.Fatalf("Submit into the free slot: %v", err)
+	}
+	if _, err := r.Submit(Item{Index: 2}); err != serve.ErrQueueFull {
+		t.Fatalf("Submit on a full queue: %v, want ErrQueueFull", err)
+	}
+	if got := r.RejectedTotal(); got != 1 {
+		t.Fatalf("RejectedTotal after one refused Submit = %d, want 1", got)
+	}
+
+	type submitted struct {
+		tk  *Ticket
+		err error
+	}
+	waited := make(chan submitted, 1)
+	go func() {
+		tk, err := r.SubmitWait(context.Background(), Item{Index: 3})
+		waited <- submitted{tk, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let SubmitWait meet the full queue
+	select {
+	case w := <-waited:
+		t.Fatalf("SubmitWait returned (%v) while the queue was full", w.err)
+	default:
+	}
+	close(gate)
+	w := <-waited
+	if w.err != nil {
+		t.Fatalf("SubmitWait: %v", w.err)
+	}
+	if got := r.RejectedTotal(); got != 1 {
+		t.Fatalf("RejectedTotal after a blocking SubmitWait = %d, want 1", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, tk := range []*Ticket{first, queued, w.tk} {
+		if _, err := tk.Result(); err != nil {
+			t.Fatalf("result: %v", err)
+		}
+	}
+	if got := r.Stats().PerShard[0].Rejected; got != 1 {
+		t.Fatalf("ShardStats.Rejected = %d, want 1", got)
+	}
+}

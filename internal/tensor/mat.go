@@ -42,29 +42,64 @@ func (m *Mat) CopyFrom(src *Mat) {
 	copy(m.Data, src.Data)
 }
 
-// MulVecInto computes out = m * x (out length Rows, x length Cols).
+// MulVecInto computes out = m * x (out length Rows, x length Cols). It
+// runs four rows per pass over x; each row still sums its products in
+// column order from +0, so out[i] equals m.Row(i).Dot(x) bit for bit.
 func (m *Mat) MulVecInto(out, x Vec) {
 	assertLen(len(x), m.Cols)
 	assertLen(len(out), m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		out[i] = m.Row(i).Dot(x)
 	}
 }
 
-// MulVecTransInto computes out = m^T * x (out length Cols, x length Rows).
+// MulVecTransInto computes out = m^T * x (out length Cols, x length Rows),
+// accumulating x[i] * row i into out for every nonzero x[i] in row
+// order. Four rows go per pass over out, each output still adding its
+// terms in row order. A skipped term is an exact ±0 (for finite m), and
+// an accumulator that starts at +0 never holds -0, so skipping never
+// changes a bit of the result.
 func (m *Mat) MulVecTransInto(out, x Vec) {
 	assertLen(len(x), m.Rows)
 	assertLen(len(out), m.Cols)
 	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
+	var rows [4]int
+	k := 0
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		row := m.Row(i)
-		for j, w := range row {
-			out[j] += xi * w
+		rows[k] = i
+		if k++; k < 4 {
+			continue
 		}
+		k = 0
+		a0, a1, a2, a3 := x[rows[0]], x[rows[1]], x[rows[2]], x[rows[3]]
+		w0, w1, w2, w3 := m.Row(rows[0]), m.Row(rows[1]), m.Row(rows[2]), m.Row(rows[3])
+		w0, w1, w2, w3 = w0[:len(out)], w1[:len(out)], w2[:len(out)], w3[:len(out)]
+		for j, o := range out {
+			o += a0 * w0[j]
+			o += a1 * w1[j]
+			o += a2 * w2[j]
+			o += a3 * w3[j]
+			out[j] = o
+		}
+	}
+	for _, i := range rows[:k] {
+		out.AXPY(x[i], m.Row(i))
 	}
 }
 
@@ -85,20 +120,49 @@ func (m *Mat) AddOuter(a float64, x, y Vec) {
 	}
 }
 
-// SumColsSparseInto computes out = sum over j in active of column j of m.
-// This is the sparse-input fast path: when the network input is a binary
-// vector with few ones, the first layer's product m^T? No — here m is laid
-// out (out x in), so column j holds the weights feeding output from input j.
-// out must have length Rows.
+// SumColsSparseInto computes out = m * x for a binary x whose ones sit
+// at the column indices in active: the sum of those columns of m, added
+// in the order active lists them. out must have length Rows.
 func (m *Mat) SumColsSparseInto(out Vec, active []int) {
 	assertLen(len(out), m.Rows)
 	out.Zero()
 	for _, j := range active {
-		if j < 0 || j >= m.Cols {
-			panic(fmt.Sprintf("tensor: sparse index %d out of range [0,%d)", j, m.Cols))
-		}
+		checkSparse(j, m.Cols)
 		for i := 0; i < m.Rows; i++ {
 			out[i] += m.Data[i*m.Cols+j]
 		}
+	}
+}
+
+// SumRowsSparseInto computes out = m^T * x for a binary x whose ones sit
+// at the row indices in active: the sum of those rows of m, added in the
+// order active lists them. Each row is contiguous, and four go per pass
+// over out. out must have length Cols.
+func (m *Mat) SumRowsSparseInto(out Vec, active []int) {
+	assertLen(len(out), m.Cols)
+	out.Zero()
+	for ; len(active) >= 4; active = active[4:] {
+		for _, j := range active[:4] {
+			checkSparse(j, m.Rows)
+		}
+		r0, r1, r2, r3 := m.Row(active[0]), m.Row(active[1]), m.Row(active[2]), m.Row(active[3])
+		r0, r1, r2, r3 = r0[:len(out)], r1[:len(out)], r2[:len(out)], r3[:len(out)]
+		for i, o := range out {
+			o += r0[i]
+			o += r1[i]
+			o += r2[i]
+			o += r3[i]
+			out[i] = o
+		}
+	}
+	for _, j := range active {
+		checkSparse(j, m.Rows)
+		out.Add(m.Row(j))
+	}
+}
+
+func checkSparse(j, n int) {
+	if j < 0 || j >= n {
+		panic(fmt.Sprintf("tensor: sparse index %d out of range [0,%d)", j, n))
 	}
 }

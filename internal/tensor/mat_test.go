@@ -209,3 +209,93 @@ func TestMatSparseDenseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func sameBits(a, b Vec) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// Property: the multi-row kernels add each output's terms in exactly the
+// order of the one-row reference, so they agree bit for bit — including
+// the terms MulVecTransInto skips for zero inputs and every leftover row
+// count after the four-row passes.
+func TestMatKernelsBitIdenticalToSequential(t *testing.T) {
+	f := func(seed uint16) bool {
+		r := NewRNG(uint64(seed))
+		rows, cols := 1+r.Intn(11), 1+r.Intn(13)
+		m := NewMat(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = r.Norm()
+		}
+		x, y := NewVec(cols), NewVec(rows)
+		for j := range x {
+			if r.Bool(0.6) {
+				x[j] = r.Norm()
+			}
+		}
+		for i := range y {
+			if r.Bool(0.6) {
+				y[i] = r.Norm()
+			}
+		}
+
+		out, want := NewVec(rows), NewVec(rows)
+		m.MulVecInto(out, x)
+		for i := range want {
+			want[i] = m.Row(i).Dot(x)
+		}
+		if !sameBits(out, want) {
+			return false
+		}
+
+		outT, wantT := NewVec(cols), NewVec(cols)
+		m.MulVecTransInto(outT, y)
+		for j := range wantT {
+			var s float64
+			for i := 0; i < rows; i++ {
+				s += y[i] * m.At(i, j)
+			}
+			wantT[j] = s
+		}
+		if !sameBits(outT, wantT) {
+			return false
+		}
+
+		// Sparse rows of m against sparse columns of its transpose, with
+		// repeats and an arbitrary order.
+		mt := NewMat(cols, rows)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				mt.Set(j, i, m.At(i, j))
+			}
+		}
+		active := make([]int, r.Intn(3*rows))
+		for k := range active {
+			active[k] = r.Intn(rows)
+		}
+		sumRows, sumCols := NewVec(cols), NewVec(cols)
+		m.SumRowsSparseInto(sumRows, active)
+		mt.SumColsSparseInto(sumCols, active)
+		return sameBits(sumRows, sumCols)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMatSumRowsSparsePanicsOutOfRange(t *testing.T) {
+	for _, active := range [][]int{{2}, {-1}, {0, 1, 0, 1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("out-of-range sparse index in %v did not panic", active)
+				}
+			}()
+			NewMat(2, 3).SumRowsSparseInto(NewVec(3), active)
+		}()
+	}
+}
