@@ -21,7 +21,7 @@
 // AdmitWait blocks until an eviction frees a slot.
 //
 // Periodic snapshots compact the journal: a snapshot merges the previous
-// snapshot, the journal, and the in-memory state into one blob (so no
+// snapshot, the journal, and the in-memory state into one file (so no
 // output is ever lost across snapshot generations), then truncates the
 // journal. Opening a corpus loads the snapshot and replays the journal
 // tail on top, tolerating a torn final record.
@@ -110,6 +110,7 @@ type Corpus struct {
 	commitsSinceSnap int
 	closed           bool
 	err              error         // sticky journal write error
+	buf              []byte        // frame buffer writeRecord reuses
 	space            chan struct{} // closed and replaced on every eviction
 
 	// Group-commit fsync state (nil channels when disabled).
@@ -190,10 +191,10 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	recs, goodOffset := parseJournal(data[headerLen:])
-	for i := range recs {
-		c.apply(&recs[i])
-	}
+	goodOffset, _ := parseJournal(data[headerLen:], func(rec *record) error {
+		c.apply(rec)
+		return nil
+	})
 	end := int64(headerLen + goodOffset)
 	if end < info.Size() {
 		// Torn tail: drop it so appended records start on a clean frame.
@@ -280,10 +281,10 @@ func (c *Corpus) syncJournal() {
 }
 
 // apply folds one replayed journal record into the in-memory state.
-// Records that reference unknown sequence numbers (possible only with a
-// corrupt-but-decodable body) are ignored rather than fatal: the journal
-// is the recovery path, and salvaging every valid record beats refusing
-// the whole corpus.
+// Records that reference unknown sequence numbers or models (possible
+// only with a body that passed its CRC yet was written wrong) are
+// ignored rather than fatal: the journal is the recovery path, and
+// salvaging every valid record beats refusing the whole corpus.
 func (c *Corpus) apply(rec *record) {
 	switch rec.Kind {
 	case kindAdmit:
@@ -505,8 +506,13 @@ func (c *Corpus) ReclaimCommitted() {
 // admissions rather than silently degrading to memory-only.
 func (c *Corpus) writeRecord(rec *record) error {
 	t0 := c.metrics.appendStart()
-	frame, err := encodeRecord(rec)
-	if err == nil {
+	c.buf = appendFrame(c.buf[:0], rec)
+	frame := c.buf
+	var err error
+	if len(frame) > maxRecordLen {
+		// The reader would refuse it as a torn tail, and every record after it.
+		err = fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(frame), maxRecordLen)
+	} else {
 		_, err = c.f.Write(frame)
 	}
 	if err != nil {

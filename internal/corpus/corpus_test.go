@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,12 +23,12 @@ var (
 	ds    = synth.NewDataset(vocab, synth.MSCOCO(), 30, 97)
 )
 
-func tempJournal(t *testing.T) string {
+func tempJournal(t testing.TB) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "corpus.wal")
 }
 
-func mustOpen(t *testing.T, path string, opts Options) *Corpus {
+func mustOpen(t testing.TB, path string, opts Options) *Corpus {
 	t.Helper()
 	c, err := Open(z, path, opts)
 	if err != nil {
@@ -39,7 +40,7 @@ func mustOpen(t *testing.T, path string, opts Options) *Corpus {
 // populate admits n scenes, executes the given models on each, and
 // commits the first committed of them. It returns the memoized outputs
 // keyed by (seq, model) for later bit-identity checks.
-func populate(t *testing.T, c *Corpus, n int, models []int, committed int) map[[2]int]zoo.Output {
+func populate(t testing.TB, c *Corpus, n int, models []int, committed int) map[[2]int]zoo.Output {
 	t.Helper()
 	outs := make(map[[2]int]zoo.Output)
 	for i := 0; i < n; i++ {
@@ -118,14 +119,11 @@ func TestJournalTruncationAtArbitraryOffsets(t *testing.T) {
 	}
 
 	// Every truncation length from the bare header to the full file must
-	// reopen cleanly and recover a bit-identical prefix. Stride keeps the
-	// loop fast; the ±1 offsets around record boundaries come for free
-	// because the stride is odd.
+	// reopen cleanly and recover a bit-identical prefix. Frames are a few
+	// dozen bytes, so every byte offset is cut: a stride would skip whole
+	// records.
 	dir := t.TempDir()
-	for cut := headerLen; cut <= len(data); cut += 137 {
-		if cut > len(data) {
-			cut = len(data)
-		}
+	for cut := headerLen; cut <= len(data); cut++ {
 		p := filepath.Join(dir, "trunc.wal")
 		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -174,6 +172,110 @@ func TestJournalHeaderVersioning(t *testing.T) {
 		t.Fatal("future-version journal accepted")
 	} else if want := "newer"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("future-version error %q does not mention %q", err, want)
+	}
+}
+
+// TestOlderFormatVersionRefusedUntouched: a journal or snapshot written
+// by an older format version must fail Open with an error naming the
+// version, and must not be modified. Replaying it instead would fail the
+// first frame's CRC and truncate everything after the header as a torn
+// tail, silently losing the data.
+func TestOlderFormatVersionRefusedUntouched(t *testing.T) {
+	// Stands in for a version-1 body (length-prefixed gob records, no
+	// CRC): bytes that fail the current frame check.
+	legacy := []byte{0x0c, 0x7f, 0x03, 0x01, 0x01, 0x06, 0x72, 0x65, 0x63, 0x6f, 0x72, 0x64, 0x01}
+
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "v1.wal")
+	v1Journal := append(header(journalMagic, 1), legacy...)
+	if err := os.WriteFile(journal, v1Journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A current journal beside a version-1 snapshot.
+	snapped := tempJournal(t)
+	c := mustOpen(t, snapped, Options{})
+	populate(t, c, 2, []int{0}, 2)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v2Journal, err := os.ReadFile(snapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Snap := append(header(snapMagic, 1), legacy...)
+	if err := os.WriteFile(snapped+".snap", v1Snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		path string
+		want map[string][]byte // every file and the bytes it must keep
+	}{
+		{journal, map[string][]byte{journal: v1Journal}},
+		{snapped, map[string][]byte{snapped: v2Journal, snapped + ".snap": v1Snap}},
+	} {
+		_, err := Open(z, tc.path, Options{})
+		if err == nil {
+			t.Fatalf("%s: version-1 corpus opened", tc.path)
+		}
+		if !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("%s: error %q does not name version 1", tc.path, err)
+		}
+		for p, want := range tc.want {
+			got, rerr := os.ReadFile(p)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: refused Open changed %s (%d bytes, was %d)", tc.path, p, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestSnapshotCorruptionFailsLoudly: a snapshot is installed atomically,
+// so a frame that does not parse, or frames out of entry order, are
+// corruption rather than a torn tail: Open fails and leaves the files
+// as they were.
+func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
+	path := tempJournal(t)
+	c := mustOpen(t, path, Options{})
+	populate(t, c, 3, []int{0, 2}, 2)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(path + ".snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(snap)
+	flipped[len(flipped)/2] ^= 0x40
+	outOfOrder := appendFrame(header(snapMagic, snapVersion), &record{Kind: kindAdmit, Seq: 1, Scene: ds.Scenes[0]})
+	orphanOutput := appendFrame(header(snapMagic, snapVersion), &record{Kind: kindOutput, Seq: 0, Model: 1})
+
+	for name, tc := range map[string]struct {
+		snap []byte
+		want string
+	}{
+		"short final frame":   {snap[:len(snap)-1], "corrupt frame"},
+		"flipped byte":        {flipped, "corrupt frame"},
+		"admit out of order":  {outOfOrder, "corrupt ordering"},
+		"output before admit": {orphanOutput, "corrupt ordering"},
+	} {
+		if err := os.WriteFile(path+".snap", tc.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(z, path, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Open error %v, want one mentioning %q", name, err, tc.want)
+		}
+		if got, _ := os.ReadFile(path + ".snap"); !bytes.Equal(got, tc.snap) {
+			t.Fatalf("%s: refused Open changed the snapshot", name)
+		}
 	}
 }
 

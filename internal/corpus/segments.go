@@ -107,10 +107,14 @@ func parseManifest(data []byte) (int, error) {
 	return n, nil
 }
 
+// manifestBody renders the manifest of an n-segment directory.
+func manifestBody(n int) []byte {
+	return fmt.Appendf(nil, "%s\nsegments %d\n", manifestHeader, n)
+}
+
 func writeManifest(path string, n int) error {
 	tmp := path + ".tmp"
-	body := fmt.Sprintf("%s\nsegments %d\n", manifestHeader, n)
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(tmp, manifestBody(n), 0o644); err != nil {
 		return fmt.Errorf("corpus: write manifest: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -1,44 +1,26 @@
 package corpus
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 
-	"ams/internal/synth"
 	"ams/internal/zoo"
 )
 
 // The snapshot's wire format: the same magic+version header shape as the
-// journal (and internal/oracle's store blob), followed by one gob blob.
+// journal (and internal/oracle's store blob), followed by journal frames
+// (journal.go), entry by entry in sequence order: the admit record, the
+// item's persisted outputs in model order, and the commit record when
+// the item committed. Loading a snapshot is therefore replaying it.
 var snapMagic = [4]byte{'A', 'M', 'S', 'S'}
 
-const snapVersion = 1
-
-// snapEntry is one item's compacted state: the admit record, the commit
-// record, and every memoized output, folded into one place.
-type snapEntry struct {
-	Seq        int
-	Tag        string
-	Scene      synth.Scene
-	Committed  bool
-	Executed   []int
-	ScheduleMS float64
-	Models     []int        // models with persisted outputs
-	Outputs    []zoo.Output // parallel to Models
-}
-
-// snapBlob is the gob payload of a snapshot file.
-type snapBlob struct {
-	Entries []snapEntry
-}
+const snapVersion = 2
 
 // snapPath is where the corpus's snapshot lives.
 func (c *Corpus) snapPath() string { return c.path + ".snap" }
 
 // Snapshot compacts the corpus: it merges the previous snapshot, the
-// journal, and the in-memory state into one blob at path+".snap"
+// journal, and the in-memory state into one file at path+".snap"
 // (written atomically via rename), then truncates the journal to its
 // header. Outputs of evicted items are carried over from the previous
 // snapshot or journal, so no persisted output is ever lost, no matter
@@ -58,53 +40,46 @@ func (c *Corpus) Snapshot() error {
 func (c *Corpus) snapshotLocked() error {
 	// Persisted outputs not in memory (evicted items): recover them from
 	// the previous snapshot, then overlay the journal — later records
-	// win, matching replay order.
-	disk := make(map[int]map[int]zoo.Output)
-	keep := func(seq, m int, out zoo.Output) {
-		if disk[seq] == nil {
-			disk[seq] = make(map[int]zoo.Output)
+	// win, matching replay order. disk[seq][m] is model m's output.
+	disk := make(map[int][]diskMemo)
+	keep := func(r *record) error {
+		if r.Kind != kindOutput || r.Seq >= len(c.entries) || !c.entries[r.Seq].evicted ||
+			r.Model < 0 || r.Model >= len(c.z.Models) {
+			return nil
 		}
-		disk[seq][m] = out
+		memos := disk[r.Seq]
+		if memos == nil {
+			memos = make([]diskMemo, len(c.z.Models))
+			disk[r.Seq] = memos
+		}
+		memos[r.Model] = diskMemo{out: r.Out, ok: true}
+		return nil
 	}
-	if old, err := readSnapBlob(c.snapPath()); err != nil {
+	if err := readSnapshot(c.snapPath(), keep); err != nil {
 		return err
-	} else if old != nil {
-		for _, se := range old.Entries {
-			for i, m := range se.Models {
-				keep(se.Seq, m, se.Outputs[i])
-			}
-		}
 	}
 	if data, err := os.ReadFile(c.path); err == nil && checkHeader(data, journalMagic, journalVersion, "journal") == nil {
-		recs, _ := parseJournal(data[headerLen:])
-		for i := range recs {
-			if recs[i].Kind == kindOutput {
-				keep(recs[i].Seq, recs[i].Model, recs[i].Out)
-			}
-		}
+		_, _ = parseJournal(data[headerLen:], keep)
 	}
 
-	blob := snapBlob{Entries: make([]snapEntry, len(c.entries))}
-	for i, e := range c.entries {
-		se := snapEntry{
-			Seq:        e.seq,
-			Tag:        e.tag,
-			Scene:      *e.item.Scene(),
-			Committed:  e.committed,
-			Executed:   append([]int(nil), e.executed...),
-			ScheduleMS: e.scheduleMS,
-		}
+	buf := header(snapMagic, snapVersion)
+	for _, e := range c.entries {
+		buf = appendFrame(buf, &record{Kind: kindAdmit, Seq: e.seq, Tag: e.tag, Scene: *e.item.Scene()})
 		if e.evicted {
-			for m, out := range disk[e.seq] {
-				se.Models = append(se.Models, m)
-				se.Outputs = append(se.Outputs, out)
+			for m, d := range disk[e.seq] {
+				if d.ok {
+					buf = appendFrame(buf, &record{Kind: kindOutput, Seq: e.seq, Model: m, Out: d.out})
+				}
 			}
-			// Deterministic file bytes: map order is randomized.
-			sortMemos(se.Models, se.Outputs)
 		} else {
-			se.Models, se.Outputs = e.item.Memos()
+			models, outs := e.item.Memos()
+			for i, m := range models {
+				buf = appendFrame(buf, &record{Kind: kindOutput, Seq: e.seq, Model: m, Out: outs[i]})
+			}
 		}
-		blob.Entries[i] = se
+		if e.committed {
+			buf = appendFrame(buf, &record{Kind: kindCommit, Seq: e.seq, Executed: e.executed, ScheduleMS: e.scheduleMS})
+		}
 	}
 
 	tmp := c.snapPath() + ".tmp"
@@ -112,13 +87,7 @@ func (c *Corpus) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("corpus: snapshot: %w", err)
 	}
-	var payload bytes.Buffer
-	payload.Write(header(snapMagic, snapVersion))
-	if err := gob.NewEncoder(&payload).Encode(blob); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("corpus: snapshot encode: %w", err)
-	}
-	if _, err := f.Write(payload.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("corpus: snapshot write: %w", err)
 	}
@@ -155,34 +124,36 @@ func (c *Corpus) snapshotLocked() error {
 	return nil
 }
 
-// sortMemos orders a (models, outputs) pair by model ID (insertion sort:
-// the lists are at most the zoo's size).
-func sortMemos(models []int, outs []zoo.Output) {
-	for i := 1; i < len(models); i++ {
-		for j := i; j > 0 && models[j-1] > models[j]; j-- {
-			models[j-1], models[j] = models[j], models[j-1]
-			outs[j-1], outs[j] = outs[j], outs[j-1]
-		}
-	}
+// diskMemo is one persisted output a snapshot recovers from disk.
+type diskMemo struct {
+	out zoo.Output
+	ok  bool
 }
 
-// readSnapBlob loads a snapshot file; a missing file returns (nil, nil).
-func readSnapBlob(path string) (*snapBlob, error) {
+// readSnapshot parses a snapshot file, handing each record to fn (as
+// parseJournal does); a missing file is not an error. A snapshot is
+// renamed into place only once complete and fsynced, so unlike the
+// journal it has no torn tail: a frame that fails to parse is
+// corruption and fails loudly.
+func readSnapshot(path string, fn func(*record) error) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("corpus: read snapshot: %w", err)
+		return fmt.Errorf("corpus: read snapshot: %w", err)
 	}
 	if err := checkHeader(data, snapMagic, snapVersion, "snapshot "+path); err != nil {
-		return nil, err
+		return err
 	}
-	var blob snapBlob
-	if err := gob.NewDecoder(bytes.NewReader(data[headerLen:])).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("corpus: decode snapshot: %w", err)
+	good, err := parseJournal(data[headerLen:], fn)
+	if err != nil {
+		return err
 	}
-	return &blob, nil
+	if good != len(data)-headerLen {
+		return fmt.Errorf("corpus: snapshot %s: corrupt frame at byte %d of %d", path, headerLen+good, len(data))
+	}
+	return nil
 }
 
 // loadSnapshot seeds the in-memory state from the snapshot file, if one
@@ -190,28 +161,20 @@ func readSnapBlob(path string) (*snapBlob, error) {
 // recovery never re-runs a model; callers that do not need the history
 // resident reclaim committed items afterwards (ReclaimCommitted).
 func (c *Corpus) loadSnapshot() error {
-	blob, err := readSnapBlob(c.snapPath())
-	if err != nil || blob == nil {
-		return err
-	}
-	for i := range blob.Entries {
-		se := &blob.Entries[i]
-		if se.Seq != len(c.entries) {
-			return fmt.Errorf("corpus: snapshot %s: entry %d has sequence %d (corrupt ordering)",
-				c.snapPath(), i, se.Seq)
+	i := 0
+	return readSnapshot(c.snapPath(), func(rec *record) error {
+		// An admit opens the next entry; its outputs and commit follow
+		// it before the next admit.
+		want := len(c.entries) - 1
+		if rec.Kind == kindAdmit {
+			want = len(c.entries)
 		}
-		e := c.addEntry(se.Scene, se.Tag)
-		e.committed = se.Committed
-		if se.Committed {
-			c.committed++
+		if rec.Seq != want {
+			return fmt.Errorf("corpus: snapshot %s: record %d has sequence %d, want %d (corrupt ordering)",
+				c.snapPath(), i, rec.Seq, want)
 		}
-		e.executed = se.Executed
-		e.scheduleMS = se.ScheduleMS
-		for j, m := range se.Models {
-			if m >= 0 && m < len(c.z.Models) {
-				e.item.Preload(m, se.Outputs[j])
-			}
-		}
-	}
-	return nil
+		c.apply(rec)
+		i++
+		return nil
+	})
 }
