@@ -323,7 +323,9 @@ func TestLabelBatchCancellationKeepsCompleted(t *testing.T) {
 // TestSubmitWaitCancelledUnderBackpressure: a blocked SubmitWait whose
 // context is cancelled returns ctx.Err(), the bounded queue untouched.
 func TestSubmitWaitCancelledUnderBackpressure(t *testing.T) {
-	cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, QueueCap: 1, TimeScale: 0.05}
+	// Telemetry exposes the queue depth, which shows when the worker
+	// has taken the first item.
+	cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, QueueCap: 1, TimeScale: 0.05, Telemetry: true}
 	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +335,7 @@ func TestSubmitWaitCancelledUnderBackpressure(t *testing.T) {
 	if _, err := srv.Submit(testSys.TestItem(3)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitQueueEmpty(t, srv)
 	if _, err := srv.Submit(testSys.TestItem(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +343,29 @@ func TestSubmitWaitCancelledUnderBackpressure(t *testing.T) {
 	defer cancel()
 	if _, err := srv.SubmitWait(ctx, testSys.TestItem(3)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SubmitWait = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// waitQueueEmpty blocks until no item waits in srv's admission queue,
+// that is, until the workers have taken every submitted item.
+func waitQueueEmpty(t *testing.T, srv *Server) {
+	t.Helper()
+	for start := time.Now(); ; time.Sleep(100 * time.Microsecond) {
+		depth, found := 0.0, false
+		for _, m := range srv.Stats().Telemetry {
+			if m.Name == "ams_queue_depth" {
+				depth, found = depth+m.Value, true
+			}
+		}
+		if !found {
+			t.Fatal("telemetry has no ams_queue_depth gauge")
+		}
+		if depth == 0 {
+			return
+		}
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("admission queue still holds %v items after 30s", depth)
+		}
 	}
 }
 

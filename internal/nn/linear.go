@@ -30,6 +30,13 @@ type Linear struct {
 	B       tensor.Vec  // Out
 	GW      *tensor.Mat // gradient accumulator for W, same layout
 	GB      tensor.Vec  // gradient accumulator for B
+
+	// live marks the rows of GW a sparse backward pass has written since
+	// the layer was built, and allLive records that a dense one has,
+	// which counts as writing every row. A row that was never written
+	// holds an exactly +0 gradient; see Param.Live.
+	live    []bool
+	allLive bool
 }
 
 // NewLinear returns a layer with He-uniform initialised weights, the
@@ -46,6 +53,8 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 		B:   tensor.NewVec(out),
 		GW:  tensor.NewMat(in, out),
 		GB:  tensor.NewVec(out),
+
+		live: make([]bool, in),
 	}
 	bound := math.Sqrt(6.0 / float64(in))
 	for i := 0; i < out; i++ {
@@ -74,6 +83,7 @@ func (l *Linear) ForwardSparseInto(out tensor.Vec, active []int) {
 // last forward pass and the gradient dOut of the loss w.r.t. this layer's
 // output. It returns (into dIn, if non-nil) the gradient w.r.t. x.
 func (l *Linear) BackwardDense(dIn, dOut, x tensor.Vec) {
+	l.allLive = true
 	l.GW.AddOuter(1, x, dOut)
 	l.GB.Add(dOut)
 	if dIn != nil {
@@ -86,6 +96,7 @@ func (l *Linear) BackwardDense(dIn, dOut, x tensor.Vec) {
 // gradient is produced (the input is data, not a learnable activation).
 func (l *Linear) BackwardSparse(dOut tensor.Vec, active []int) {
 	for _, j := range active {
+		l.live[j] = true
 		l.GW.Row(j).Add(dOut)
 	}
 	l.GB.Add(dOut)
@@ -112,22 +123,60 @@ func (l *Linear) setWireWeights(w []float64) {
 	}
 }
 
-// ZeroGrad clears the accumulated gradients.
+// ZeroGrad clears the accumulated gradients. Rows no backward pass has
+// written are already +0 and are skipped.
 func (l *Linear) ZeroGrad() {
-	l.GW.Zero()
+	w := l.weights()
+	for lo, hi := w.liveSpan(0); lo < hi; lo, hi = w.liveSpan(hi) {
+		w.Grad[lo:hi].Zero()
+	}
 	l.GB.Zero()
+}
+
+// weights returns the (value, gradient) view of W with its row liveness.
+func (l *Linear) weights() Param {
+	p := Param{Val: l.W.Data, Grad: l.GW.Data}
+	if !l.allLive {
+		p.Live, p.RowLen = l.live, l.Out
+	}
+	return p
 }
 
 // Params appends this layer's (value, gradient) pairs to dst.
 func (l *Linear) Params(dst []Param) []Param {
-	return append(dst,
-		Param{Val: l.W.Data, Grad: l.GW.Data},
-		Param{Val: l.B, Grad: l.GB},
-	)
+	return append(dst, l.weights(), Param{Val: l.B, Grad: l.GB})
 }
 
 // Param is a flattened view of one parameter tensor and its gradient.
+//
+// Live, when non-nil, splits Val into rows of RowLen elements and marks
+// the rows whose gradient may have been nonzero since the network was
+// built; a nil Live marks every element. An unmarked element's gradient
+// is +0 and has only ever been +0, so an optimizer whose state starts
+// at +0 and whose update maps a +0 gradient and +0 state to an
+// unchanged value and +0 state may skip it: the skipped update is an
+// exact no-op. Marking a row early is always safe.
 type Param struct {
 	Val  tensor.Vec
 	Grad tensor.Vec
+
+	Live   []bool
+	RowLen int
+}
+
+// liveSpan returns the first run [lo, hi) of live elements at or after
+// from, which must be a row boundary; lo == hi once none is left.
+func (p Param) liveSpan(from int) (lo, hi int) {
+	if p.Live == nil {
+		return from, len(p.Val)
+	}
+	r := from / p.RowLen
+	for r < len(p.Live) && !p.Live[r] {
+		r++
+	}
+	lo = r * p.RowLen
+	for r < len(p.Live) && p.Live[r] {
+		r++
+	}
+	return lo, r * p.RowLen
 }

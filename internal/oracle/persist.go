@@ -95,6 +95,14 @@ func Load(r io.Reader, z *zoo.Zoo) (*Store, error) {
 			return nil, fmt.Errorf("oracle: load store: scene %d has %d model outputs, zoo has %d",
 				i, len(row), len(z.Models))
 		}
+		for m, out := range row {
+			for _, lc := range out.Labels {
+				if lc.ID < 0 || lc.ID >= z.Vocab.Len() || !(lc.Conf >= 0 && lc.Conf <= 1) {
+					return nil, fmt.Errorf("oracle: load store: scene %d model %d emits label %d at confidence %v, outside the vocabulary or [0, 1]",
+						i, m, lc.ID, lc.Conf)
+				}
+			}
+		}
 	}
 	st := &Store{
 		Zoo:        z,

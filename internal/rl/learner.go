@@ -122,8 +122,15 @@ type Learner struct {
 
 	trainSteps int
 	batch      []Transition
+	slots      []int // replay slot of each batch entry
 	tdErrs     []float64
 	dQ         tensor.Vec
+
+	// targetGen numbers the target network's weights: it moves on every
+	// sync or soft update, and memo entries from an older generation are
+	// stale.
+	targetGen uint64
+	memo      targetMemo
 }
 
 // NewLearner constructs a learner. The DuelingDQN variant instantiates the
@@ -148,8 +155,12 @@ func NewLearner(cfg LearnerConfig, rng *tensor.RNG) *Learner {
 		opt:    nn.NewAdam(cfg.LearningRate),
 		rng:    rng,
 		batch:  make([]Transition, cfg.BatchSize),
+		slots:  make([]int, cfg.BatchSize),
 		tdErrs: make([]float64, cfg.BatchSize),
 		dQ:     tensor.NewVec(cfg.Actions),
+
+		targetGen: 1,
+		memo:      targetMemo{width: cfg.Actions},
 	}
 	if cfg.Prioritized {
 		l.pbuf = NewPrioritizedBuffer(cfg.ReplayCapacity, cfg.PriorityAlpha, rng.Split())
@@ -167,7 +178,9 @@ func (l *Learner) Config() LearnerConfig { return l.cfg }
 func (l *Learner) Online() *nn.Net { return l.online }
 
 // Buffer exposes the uniform replay buffer (nil when the learner uses
-// prioritized replay).
+// prioritized replay). Add transitions through Observe, not the
+// buffer's Add: Observe also drops the overwritten slot's memoized
+// target Q-vector.
 func (l *Learner) Buffer() *ReplayBuffer { return l.buf }
 
 // BufferLen returns the number of stored transitions in whichever buffer
@@ -204,11 +217,13 @@ func (l *Learner) SelectAction(state []int, epsilon float64, allowed []int) int 
 
 // Observe appends a transition to the replay buffer.
 func (l *Learner) Observe(tr Transition) {
+	var slot int
 	if l.pbuf != nil {
-		l.pbuf.Add(tr)
-		return
+		slot = l.pbuf.Add(tr)
+	} else {
+		slot = l.buf.Add(tr)
 	}
-	l.buf.Add(tr)
+	l.memo.clear(slot)
 }
 
 // TrainStep samples a minibatch and applies one optimizer update,
@@ -219,17 +234,17 @@ func (l *Learner) TrainStep() float64 {
 		return 0
 	}
 	var batch []Transition
-	var idxs []int
+	slots := l.slots
 	if l.pbuf != nil {
-		batch, idxs = l.pbuf.Sample(l.cfg.BatchSize)
+		batch, slots = l.pbuf.Sample(l.cfg.BatchSize)
 	} else {
-		batch = l.buf.SampleInto(l.batch)
+		batch = l.buf.SampleInto(l.batch, slots)
 	}
 	l.online.ZeroGrad()
 	var totalLoss float64
 	for i := range batch {
 		tr := &batch[i]
-		y := l.targetValue(tr)
+		y := l.targetValue(tr, slots[i])
 		q := l.online.Forward(tr.State)
 		td := q[tr.Action] - y
 		l.tdErrs[i] = td
@@ -240,21 +255,24 @@ func (l *Learner) TrainStep() float64 {
 		l.online.Backward(l.dQ)
 	}
 	if l.pbuf != nil {
-		l.pbuf.UpdatePriorities(idxs, l.tdErrs[:len(batch)])
+		l.pbuf.UpdatePriorities(slots, l.tdErrs[:len(batch)])
 	}
 	l.opt.Step(l.online)
 	l.trainSteps++
 	if l.cfg.TargetTau > 0 {
 		l.target.SoftUpdateFrom(l.online, l.cfg.TargetTau)
+		l.targetGen++
 	} else if l.trainSteps%l.cfg.TargetSyncEvery == 0 {
-		l.target.CopyWeightsFrom(l.online)
+		l.SyncTarget()
 	}
 	return totalLoss / float64(len(batch))
 }
 
-// targetValue computes the bootstrap target for one transition according
-// to the configured algorithm.
-func (l *Learner) targetValue(tr *Transition) float64 {
+// targetValue computes the bootstrap target for one transition, stored
+// in replay slot slot, according to the configured algorithm. Target
+// Q-vectors come from the memo; online ones are always computed, since
+// the online weights change every step.
+func (l *Learner) targetValue(tr *Transition, slot int) float64 {
 	if tr.Done {
 		return tr.Reward
 	}
@@ -266,21 +284,24 @@ func (l *Learner) targetValue(tr *Transition) float64 {
 		// compounding max-bias.
 		qOnline := l.online.Forward(tr.Next)
 		_, argmax := qOnline.Max()
-		qTarget := l.target.Forward(tr.Next)
+		qTarget := l.memo.get(slot, l.targetGen, l.target, tr.Next)
 		return tr.Reward + l.cfg.Gamma*qTarget[argmax]
 	case DeepSARSA:
 		// On-policy: evaluate the action the behaviour policy actually took.
-		qTarget := l.target.Forward(tr.Next)
+		qTarget := l.memo.get(slot, l.targetGen, l.target, tr.Next)
 		return tr.Reward + l.cfg.Gamma*qTarget[tr.NextAction]
 	default: // DQN uses the standard max-target.
-		qTarget := l.target.Forward(tr.Next)
+		qTarget := l.memo.get(slot, l.targetGen, l.target, tr.Next)
 		maxQ, _ := qTarget.Max()
 		return tr.Reward + l.cfg.Gamma*maxQ
 	}
 }
 
 // SyncTarget forces a hard copy of the online network into the target.
-func (l *Learner) SyncTarget() { l.target.CopyWeightsFrom(l.online) }
+func (l *Learner) SyncTarget() {
+	l.target.CopyWeightsFrom(l.online)
+	l.targetGen++
+}
 
 // TrainSteps returns the number of optimizer updates performed.
 func (l *Learner) TrainSteps() int { return l.trainSteps }

@@ -55,16 +55,18 @@ func NewPrioritizedBuffer(capacity int, alpha float64, rng *tensor.RNG) *Priorit
 func (b *PrioritizedBuffer) Len() int { return b.size }
 
 // Add stores a transition at the running maximum priority so it is
-// sampled at least once soon.
-func (b *PrioritizedBuffer) Add(tr Transition) {
+// sampled at least once soon, and returns the slot it wrote.
+func (b *PrioritizedBuffer) Add(tr Transition) int {
 	tr.State = append([]int(nil), tr.State...)
 	tr.Next = append([]int(nil), tr.Next...)
-	b.data[b.pos] = tr
-	b.setPriority(b.pos, b.max)
+	slot := b.pos
+	b.data[slot] = tr
+	b.setPriority(slot, b.max)
 	b.pos = (b.pos + 1) % b.capacity
 	if b.size < b.capacity {
 		b.size++
 	}
+	return slot
 }
 
 // setPriority writes p^alpha into the leaf and repairs the path up.

@@ -41,18 +41,21 @@ func NewReplayBuffer(capacity int, rng *tensor.RNG) *ReplayBuffer {
 	return &ReplayBuffer{data: make([]Transition, 0, capacity), rng: rng}
 }
 
-// Add stores a transition, evicting the oldest when full. The transition's
-// state slices are copied so callers may reuse their buffers.
-func (b *ReplayBuffer) Add(tr Transition) {
+// Add stores a transition, evicting the oldest when full, and returns
+// the slot it wrote. The transition's state slices are copied so callers
+// may reuse their buffers.
+func (b *ReplayBuffer) Add(tr Transition) int {
 	tr.State = append([]int(nil), tr.State...)
 	tr.Next = append([]int(nil), tr.Next...)
 	if len(b.data) < cap(b.data) {
 		b.data = append(b.data, tr)
-		return
+		return len(b.data) - 1
 	}
-	b.data[b.pos] = tr
+	slot := b.pos
+	b.data[slot] = tr
 	b.pos = (b.pos + 1) % cap(b.data)
 	b.full = true
+	return slot
 }
 
 // Len returns the number of stored transitions.
@@ -63,14 +66,19 @@ func (b *ReplayBuffer) Cap() int { return cap(b.data) }
 
 // SampleInto fills dst with uniformly sampled transitions (with
 // replacement) and returns dst[:n] where n = min(len(dst), Len). An empty
-// buffer yields an empty slice.
-func (b *ReplayBuffer) SampleInto(dst []Transition) []Transition {
+// buffer yields an empty slice. When slots is non-nil, slots[i] receives
+// the slot dst[i] was drawn from; it must be at least as long as dst.
+func (b *ReplayBuffer) SampleInto(dst []Transition, slots []int) []Transition {
 	if len(b.data) == 0 {
 		return dst[:0]
 	}
 	n := len(dst)
 	for i := 0; i < n; i++ {
-		dst[i] = b.data[b.rng.Intn(len(b.data))]
+		slot := b.rng.Intn(len(b.data))
+		dst[i] = b.data[slot]
+		if slots != nil {
+			slots[i] = slot
+		}
 	}
 	return dst[:n]
 }

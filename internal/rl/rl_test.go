@@ -19,7 +19,7 @@ func TestReplayBufferRing(t *testing.T) {
 	// Oldest two (actions 0 and 1) must have been evicted.
 	seen := map[int]bool{}
 	dst := make([]Transition, 64)
-	for _, tr := range b.SampleInto(dst) {
+	for _, tr := range b.SampleInto(dst, nil) {
 		seen[tr.Action] = true
 	}
 	if seen[0] || seen[1] {
@@ -38,7 +38,7 @@ func TestReplayBufferCopiesStates(t *testing.T) {
 	b.Add(Transition{State: state})
 	state[0] = 99
 	dst := make([]Transition, 1)
-	got := b.SampleInto(dst)[0]
+	got := b.SampleInto(dst, nil)[0]
 	if got.State[0] == 99 {
 		t.Fatal("replay buffer aliases caller state slice")
 	}
@@ -46,7 +46,7 @@ func TestReplayBufferCopiesStates(t *testing.T) {
 
 func TestReplayBufferEmptySample(t *testing.T) {
 	b := NewReplayBuffer(2, tensor.NewRNG(1))
-	if got := b.SampleInto(make([]Transition, 4)); len(got) != 0 {
+	if got := b.SampleInto(make([]Transition, 4), nil); len(got) != 0 {
 		t.Fatalf("sample from empty buffer returned %d items", len(got))
 	}
 }

@@ -164,16 +164,6 @@ func (s *System) LabelRandom(ctx context.Context, item Item, b Budget, seed uint
 	return s.LabelWith(ctx, PolicyRandom.WithSeed(seed), nil, item, b)
 }
 
-// LabelImage is the deprecated index-based surface: it labels held-out
-// image i exactly as Label(context.Background(), agent, s.TestItem(i), b)
-// does.
-//
-// Deprecated: use Label with TestItem.
-func (s *System) LabelImage(agent *Agent, image int, b Budget) (*Result, error) {
-	//amsvet:allow ctxflow documented convenience wrapper: LabelImage is specified as Label with a Background ctx
-	return s.Label(context.Background(), agent, s.TestItem(image), b)
-}
-
 // OptimalStarRecall returns the relaxed optimal* reference recall for a
 // held-out image under the budget (§V-C) — the yardstick the paper
 // compares its heuristics against. It is inherently oracle-backed: the

@@ -912,14 +912,6 @@ func (sv *Server) Checkpoint() error {
 	return sv.corpus.Snapshot()
 }
 
-// SubmitImage is the deprecated index-based surface: it submits held-out
-// image i exactly as Submit(TestItem(i)) does.
-//
-// Deprecated: use Submit with TestItem.
-func (sv *Server) SubmitImage(image int) (*ServeTicket, error) {
-	return sv.Submit(sv.sys.TestItem(image))
-}
-
 // Results subscribes to the server's completion stream: every item
 // finished after the call is delivered in completion order, without the
 // caller holding tickets. The channel closes after Close once all

@@ -207,7 +207,7 @@ func ParseSLO(spec string) (SLOObjective, error) {
 		return o, fmt.Errorf("ams: bad SLO spec %q (want e.g. \"p99<250ms\" or \"name:p95<1s\")", spec)
 	}
 	pct, err := strconv.ParseFloat(q[1:], 64)
-	if err != nil || pct <= 0 || pct >= 100 {
+	if err != nil || !(pct > 0 && pct < 100) { // also rejects NaN
 		return o, fmt.Errorf("ams: bad SLO quantile in %q (want p1–p99.999)", spec)
 	}
 	d, err := time.ParseDuration(thr)
